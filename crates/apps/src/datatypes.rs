@@ -55,20 +55,47 @@ impl VectorDt {
     }
 
     /// Unpack a contiguous packed segment `[seg_off, seg_off + data.len())`
-    /// into `(target_offset, slice)` pieces — the Appendix C.3.4 loop.
-    /// Returns the number of pieces (for cycle accounting).
-    pub fn unpack_segments<'d>(&self, seg_off: usize, data: &'d [u8]) -> Vec<(usize, &'d [u8])> {
-        let mut out = Vec::new();
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let abs = seg_off + pos;
-            let within = abs % self.blocksize;
-            let room = self.blocksize - within;
-            let take = room.min(data.len() - pos);
-            out.push((self.unpack_offset(abs), &data[pos..pos + take]));
-            pos += take;
+    /// into `(target_offset, slice)` pieces, one per (partial) block, in
+    /// packed order — the Appendix C.3.4 loop. The iterator is lazy and
+    /// allocates nothing.
+    pub fn unpack_segments<'d>(&self, seg_off: usize, data: &'d [u8]) -> UnpackSegments<'d> {
+        let block = seg_off / self.blocksize;
+        UnpackSegments {
+            stride: self.stride,
+            blocksize: self.blocksize,
+            block_dst: self.start + block * self.stride,
+            within: seg_off - block * self.blocksize,
+            rest: data,
         }
-        out
+    }
+}
+
+/// The pieces of one packed segment, from [`VectorDt::unpack_segments`].
+#[derive(Debug, Clone)]
+pub struct UnpackSegments<'d> {
+    stride: usize,
+    blocksize: usize,
+    /// Target offset of the current block's first byte.
+    block_dst: usize,
+    /// Offset of the next piece within the current block.
+    within: usize,
+    rest: &'d [u8],
+}
+
+impl<'d> Iterator for UnpackSegments<'d> {
+    type Item = (usize, &'d [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        let take = (self.blocksize - self.within).min(self.rest.len());
+        let (piece, rest) = self.rest.split_at(take);
+        let dst = self.block_dst + self.within;
+        self.rest = rest;
+        self.block_dst += self.stride;
+        self.within = 0;
+        Some((dst, piece))
     }
 }
 
@@ -93,13 +120,26 @@ impl DdtMode {
 
 const DDT_TAG: u64 = 33;
 
+/// Period of the sender's byte pattern: packed byte `i` is `i % 239`.
+const PATTERN_PERIOD: usize = 239;
+
+/// Length of the sender's pattern chunk: 274 periods.
+const PATTERN_CHUNK: usize = PATTERN_PERIOD * 274;
+
 struct Sender {
     bytes: usize,
 }
 impl HostProgram for Sender {
     fn on_start(&mut self, api: &mut HostApi<'_>) {
-        let data: Vec<u8> = (0..self.bytes).map(|i| (i % 239) as u8).collect();
-        api.write_host(0, &data);
+        // Every chunk starts at a multiple of the period, so one
+        // precomputed chunk serves the whole message.
+        let chunk: Vec<u8> = (0..PATTERN_CHUNK)
+            .map(|i| (i % PATTERN_PERIOD) as u8)
+            .collect();
+        for off in (0..self.bytes).step_by(PATTERN_CHUNK) {
+            let len = PATTERN_CHUNK.min(self.bytes - off);
+            api.write_host(off, &chunk[..len]);
+        }
         api.mark("post");
         api.put(PutArgs::from_host(1, 0, DDT_TAG, 0, self.bytes));
     }
@@ -204,7 +244,7 @@ pub fn verify_unpack(out: &SimOutput, dt: VectorDt) {
             let packed_index = b * dt.blocksize + i;
             assert_eq!(
                 byte,
-                (packed_index % 239) as u8,
+                (packed_index % PATTERN_PERIOD) as u8,
                 "block {b} byte {i} mismatch"
             );
         }
@@ -224,6 +264,8 @@ pub fn fig7a_dt(total: usize, blocksize: usize) -> VectorDt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
     use spin_core::config::NicKind;
 
     fn cfg() -> MachineConfig {
@@ -246,13 +288,49 @@ mod tests {
         assert_eq!(dt.unpack_offset(1536 + 10), 2570);
         // A 4 KiB packet at offset 0 spans blocks 0..2: 3 pieces.
         let data = vec![0u8; 4096];
-        let segs = dt.unpack_segments(0, &data);
+        let segs: Vec<_> = dt.unpack_segments(0, &data).collect();
         assert_eq!(segs.len(), 3);
         assert_eq!(segs[0].1.len(), 1536);
         assert_eq!(segs[2].1.len(), 4096 - 2 * 1536);
         // Segment pieces cover the packet exactly.
         let covered: usize = segs.iter().map(|(_, s)| s.len()).sum();
         assert_eq!(covered, 4096);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn unpack_segments_cover_each_packet_in_block_pieces(
+            (start, gap, blocksize, count) in (0usize..5000, 0usize..300, 1usize..300, 1usize..64),
+            cuts in collection::vec(any::<u64>(), 0..12),
+        ) {
+            let dt = VectorDt { start, stride: blocksize + gap, blocksize, count };
+            let packed: Vec<u8> = (0..dt.packed_len()).map(|i| i as u8).collect();
+            let mut bounds: Vec<usize> =
+                cuts.iter().map(|&c| (c % packed.len() as u64) as usize).collect();
+            bounds.extend([0, packed.len()]);
+            bounds.sort_unstable();
+            for w in bounds.windows(2) {
+                let (seg_off, data) = (w[0], &packed[w[0]..w[1]]);
+                let mut pos = 0;
+                for (dst, piece) in dt.unpack_segments(seg_off, data) {
+                    // In order, non-empty, and exactly the next bytes.
+                    prop_assert!(!piece.is_empty());
+                    prop_assert!(std::ptr::eq(piece, &data[pos..pos + piece.len()]));
+                    let first = seg_off + pos;
+                    let last = first + piece.len() - 1;
+                    // Inside one block, ending at its end or the packet's.
+                    prop_assert_eq!(first / blocksize, last / blocksize);
+                    prop_assert!((last + 1).is_multiple_of(blocksize) || pos + piece.len() == data.len());
+                    for k in 0..piece.len() {
+                        prop_assert_eq!(dst + k, dt.unpack_offset(first + k));
+                    }
+                    pos += piece.len();
+                }
+                prop_assert_eq!(pos, data.len());
+            }
+        }
     }
 
     #[test]

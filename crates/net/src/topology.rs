@@ -117,11 +117,23 @@ impl Topology {
     /// `nodes` endpoints.
     ///
     /// # Panics
-    /// Panics if `nodes` exceeds the 3-level capacity `k³/4` or if the radix
-    /// is below 2.
+    /// Panics where [`Topology::try_fat_tree`] returns an error.
     pub fn fat_tree(nodes: u32, ports: u32) -> Self {
-        assert!(ports >= 2, "switch radix must be at least 2");
-        assert!(nodes >= 1, "need at least one node");
+        Self::try_fat_tree(nodes, ports).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Topology::fat_tree`], returning an error that names the problem
+    /// if the radix is below 2, `nodes` is zero, or `nodes` exceeds the
+    /// 3-level capacity `k³/4`.
+    pub fn try_fat_tree(nodes: u32, ports: u32) -> Result<Self, String> {
+        if ports < 2 {
+            return Err(format!(
+                "a fat tree needs switches of at least 2 ports, got {ports}"
+            ));
+        }
+        if nodes < 1 {
+            return Err("a fat tree needs at least one node".into());
+        }
         let k = ports as u64;
         let levels = if nodes as u64 <= k {
             1
@@ -130,17 +142,17 @@ impl Topology {
         } else if nodes as u64 <= k * k * k / 4 {
             3
         } else {
-            panic!(
+            return Err(format!(
                 "{} nodes exceed the 3-level fat-tree capacity of {} with {}-port switches",
                 nodes,
                 k * k * k / 4,
                 ports
-            );
+            ));
         };
-        Topology {
+        Ok(Topology {
             nodes,
             kind: Kind::FatTree { ports, levels },
-        }
+        })
     }
 
     /// Build a dragonfly of `groups` groups, each holding

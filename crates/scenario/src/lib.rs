@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 use spin_core::config::{ImpairmentConfig, ImpairmentRule, LinkImpairment, MachineConfig, NicKind};
 use spin_core::fault::{CompiledFaults, FaultEvent, FaultKind, FaultPlan};
 use spin_core::world::{Report, SimBuilder, SimOutput};
-use spin_net::TopologySpec;
+use spin_net::{Topology, TopologySpec};
 use spin_sim::noise::NoiseModel;
 use spin_sim::time::Time;
 
@@ -466,7 +466,9 @@ impl ScenarioCompiler {
             NicChoice::Discrete => NicKind::Discrete,
         };
         let mut cfg = MachineConfig::paper(nic).with_topology(s.topology.spec());
-        if let TopologyConfig::FatTree { ports, .. } = s.topology {
+        if let TopologyConfig::FatTree { nodes, ports } = s.topology {
+            Topology::try_fat_tree(nodes, ports)
+                .map_err(|e| Error::msg(format!("scenario {:?}: {e}", s.name)))?;
             cfg.net.switch_ports = ports as usize;
         }
         if let Some(seed) = s.machine.seed {
@@ -930,6 +932,26 @@ mod tests {
         .unwrap();
         let e = compile_err(s);
         assert!(e.message().contains("exactly 2 nodes"), "{e}");
+    }
+
+    #[test]
+    fn impossible_fat_trees_are_rejected_not_panicked() {
+        let fat_tree = |nodes: u32, ports: u32| {
+            Scenario::from_json(&format!(
+                r#"{{
+                  "name": "t",
+                  "topology": {{"FatTree": {{"nodes": {nodes}, "ports": {ports}}}}},
+                  "workload": {{"Incast": {{"rounds": 1}}}}
+                }}"#
+            ))
+            .unwrap()
+        };
+        let e = compile_err(fat_tree(32, 4));
+        for part in ["32 nodes", "capacity of 16", "4-port"] {
+            assert!(e.message().contains(part), "{e}");
+        }
+        let e = compile_err(fat_tree(2, 1));
+        assert!(e.message().contains("at least 2 ports, got 1"), "{e}");
     }
 
     #[test]

@@ -155,6 +155,19 @@ impl PooledResource {
 /// later needs the channel *earlier*. A plain [`SerialResource`] would
 /// serialize them in issue order, inventing contention that a real FIFO
 /// arbiter would never see.
+///
+/// The busy list is never pruned, and its access pattern is tail-heavy:
+/// in the Fig. 7a sweep at 8 B blocks (integrated NIC) the NIC→host DMA
+/// channel grows to one interval per write (524,288 entries), yet inserts
+/// land on average 368 entries from the tail and at most 1,494. [`reserve`]
+/// therefore gallops back from the tail to find its insertion point. The
+/// search costs O(log d) for a landing d entries from the tail, one probe
+/// at the tail, instead of O(log n) over the whole list; the insert still
+/// shifts the d entries behind it. A tail landing thus costs about what
+/// [`reserve_append`] does.
+///
+/// [`reserve`]: IntervalResource::reserve
+/// [`reserve_append`]: IntervalResource::reserve_append
 #[derive(Debug, Clone, Default)]
 pub struct IntervalResource {
     /// Busy intervals, sorted by start, non-overlapping.
@@ -177,10 +190,8 @@ impl IntervalResource {
         if duration == Time::ZERO {
             return (earliest, earliest);
         }
-        // Find the insertion region: first busy interval ending after
-        // `earliest`.
         let mut cursor = earliest;
-        let mut idx = self.busy.partition_point(|&(_, end)| end <= earliest);
+        let mut idx = self.first_ending_after(earliest);
         loop {
             let gap_end = self.busy.get(idx).map(|&(s, _)| s).unwrap_or(Time::MAX);
             let start = cursor.max(
@@ -197,6 +208,26 @@ impl IntervalResource {
             cursor = self.busy[idx].1;
             idx += 1;
         }
+    }
+
+    /// Index of the first busy interval ending after `t`: the
+    /// `partition_point` of `end <= t`, found by galloping back from the
+    /// tail (probes 1, 2, 4, … entries back) and then binary-searching the
+    /// last bracket.
+    fn first_ending_after(&self, t: Time) -> usize {
+        // Every interval at or after `hi` ends after `t`.
+        let mut hi = self.busy.len();
+        let mut step = 1;
+        while hi > 0 {
+            let probe = hi.saturating_sub(step);
+            if self.busy[probe].1 <= t {
+                let lo = probe + 1;
+                return lo + self.busy[lo..hi].partition_point(|&(_, end)| end <= t);
+            }
+            hi = probe;
+            step *= 2;
+        }
+        0
     }
 
     fn coalesce_around(&mut self, idx: usize) {
@@ -478,6 +509,99 @@ mod tests {
             Some(&(Time::from_ns(100), Time::from_ns(120)))
         );
         assert_eq!(r.horizon(), Time::from_ns(120));
+    }
+
+    /// The flat reference `reserve`: a `partition_point` over the whole
+    /// busy list, then the same gap walk and coalescing.
+    #[derive(Default)]
+    struct FlatIntervals {
+        busy: Vec<(Time, Time)>,
+        busy_total: Time,
+        jobs: u64,
+    }
+
+    impl FlatIntervals {
+        fn reserve(&mut self, earliest: Time, duration: Time) -> (Time, Time) {
+            self.jobs += 1;
+            self.busy_total += duration;
+            if duration == Time::ZERO {
+                return (earliest, earliest);
+            }
+            let mut cursor = earliest;
+            let mut idx = self.busy.partition_point(|&(_, end)| end <= earliest);
+            loop {
+                let gap_end = self.busy.get(idx).map(|&(s, _)| s).unwrap_or(Time::MAX);
+                let start = cursor.max(idx.checked_sub(1).map_or(Time::ZERO, |i| self.busy[i].1));
+                if gap_end.saturating_sub(start) >= duration {
+                    let end = start + duration;
+                    self.busy.insert(idx, (start, end));
+                    if idx + 1 < self.busy.len() && self.busy[idx].1 == self.busy[idx + 1].0 {
+                        self.busy[idx].1 = self.busy.remove(idx + 1).1;
+                    }
+                    if idx > 0 && self.busy[idx - 1].1 == self.busy[idx].0 {
+                        self.busy[idx - 1].1 = self.busy.remove(idx).1;
+                    }
+                    return (start, end);
+                }
+                cursor = self.busy[idx].1;
+                idx += 1;
+            }
+        }
+
+        fn horizon(&self) -> Time {
+            self.busy.last().map_or(Time::ZERO, |&(_, e)| e)
+        }
+    }
+
+    #[test]
+    fn galloping_reserve_matches_flat_reference() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rng = move |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        for _ in 0..3 {
+            let mut fast = IntervalResource::new();
+            let mut flat = FlatIntervals::default();
+            let mut last_earliest = Time::ZERO;
+            let mut ops = 0u64;
+            // Grow each list past 10k intervals; the in-order requests
+            // leave holes so that most of them stay separate intervals.
+            while fast.busy.len() < 10_000 {
+                let horizon = fast.horizon().ps();
+                let earliest = Time::from_ps(match rng(16) {
+                    // In order: at or just past the horizon.
+                    0..=7 => horizon + rng(4) * rng(3_000),
+                    // Near the tail: a short way behind the horizon.
+                    8..=10 => horizon.saturating_sub(rng(50_000)),
+                    // A gap-fill far behind the horizon.
+                    11..=12 => rng(horizon + 1),
+                    // The previous request's `earliest` again.
+                    _ => last_earliest.ps(),
+                });
+                let duration = match rng(10) {
+                    0 => Time::ZERO,
+                    _ => Time::from_ps(1 + rng(2_000)),
+                };
+                last_earliest = earliest;
+                assert_eq!(
+                    fast.reserve(earliest, duration),
+                    flat.reserve(earliest, duration),
+                    "grant {ops} diverged (earliest {earliest}, duration {duration})"
+                );
+                assert_eq!(fast.horizon(), flat.horizon());
+                ops += 1;
+                if ops.is_multiple_of(4_096) {
+                    assert_eq!(fast.busy, flat.busy, "busy lists diverged at {ops}");
+                }
+            }
+            assert_eq!(fast.busy, flat.busy);
+            assert_eq!(fast.busy_total(), flat.busy_total);
+            assert_eq!(fast.jobs(), flat.jobs);
+            assert_eq!(fast.horizon(), flat.horizon());
+        }
     }
 
     #[test]
