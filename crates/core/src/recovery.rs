@@ -405,6 +405,13 @@ impl RecoveryManager {
             p.failed_probes = 0;
             return AckStep::Replay(std::mem::take(&mut p.queue));
         }
+        // A delivered message may still sit in the queue: an attempt that
+        // was in flight when the pair queued it can get through. It is no
+        // longer tracked, so it must leave the queue, or `on_timer` would
+        // hand it out as a probe that `replay_msg` cannot serve.
+        if let Ok(pos) = p.queue.binary_search(&msg_id) {
+            p.queue.remove(pos);
+        }
         AckStep::Delivered
     }
 
@@ -810,6 +817,35 @@ mod tests {
         assert_eq!(m.on_send(&put(9, 1, 3)), SendStep::Transmit);
         assert_eq!(m.on_timer(1, 0), Some(5));
         assert_eq!(m.on_ack_ok(Time::ZERO, 5), AckStep::Replay(vec![6, 7]));
+    }
+
+    #[test]
+    fn acked_while_queued_leaves_the_backoff_queue() {
+        let mut m = RecoveryManager::new(Some(cfg()));
+        for id in 1..=3u64 {
+            m.on_send(&put(id, 9, 0));
+        }
+        let t = Time::from_us(1);
+        assert!(matches!(m.on_nack(t, 1, 9, 0), NackStep::Backoff(_)));
+        assert_eq!(m.on_nack(t, 2, 9, 0), NackStep::Queued);
+        assert_eq!(m.on_nack(t, 3, 9, 0), NackStep::Queued);
+        // The head of the queue gets through anyway: it is retired and
+        // leaves the queue, so the probe is the oldest *tracked* message.
+        assert_eq!(m.on_ack_ok(t, 1), AckStep::Delivered);
+        assert_eq!(m.queued(9, 0), 2);
+        let probe = m.on_timer(9, 0).expect("messages 2 and 3 still queued");
+        assert_eq!(probe, 2);
+        assert!(m.replay_msg(probe).is_some(), "probe must be servable");
+        // A queued message acked during the probe is not replayed.
+        assert_eq!(m.on_ack_ok(t, 3), AckStep::Delivered);
+        assert_eq!(m.on_ack_ok(t, 2), AckStep::Replay(vec![]));
+        // Every queued message acked during backoff: the timer finds
+        // nothing to probe and the pair idles instead of probing a ghost.
+        m.on_send(&put(4, 9, 0));
+        assert!(matches!(m.on_nack(t, 4, 9, 0), NackStep::Backoff(_)));
+        assert_eq!(m.on_ack_ok(t, 4), AckStep::Delivered);
+        assert_eq!(m.on_timer(9, 0), None);
+        assert_eq!(m.peer_state(9, 0), PeerState::Idle);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! * a mid-run link flap under incast completes **every** delivery through
 //!   the recovery machine (the acceptance regression), and selective
 //!   retransmission replays only the dead tail of a half-transmitted
-//!   message instead of the whole body.
+//!   message instead of the whole body;
+//! * link flaps under random loss recover without probing a message that
+//!   was already delivered (pinned by digest at two seeds).
 
 mod common;
 
@@ -29,6 +31,7 @@ use proptest::prelude::*;
 use spin_core::config::{MachineConfig, NicKind};
 use spin_core::fault::{FaultKind, FaultPlan};
 use spin_core::world::{NodeStats, Report, ShardMode, SimBuilder};
+use spin_scenario::{Scenario, ScenarioCompiler};
 use spin_sim::time::Time;
 
 /// The count-stable slice of a report (the relaxed engine's contract):
@@ -389,4 +392,60 @@ fn selective_retransmit_resends_only_the_dead_tail() {
         witnessed,
         "no flap onset in the sweep produced a mid-message tail cut"
     );
+}
+
+// ----------------------------------------- flaps under random loss
+
+/// 63 RDMA senders saturate rank 0 of a 64-node radix-8 fat tree while
+/// rank 0's access link flaps six times for 12 µs (10–172 µs) and every
+/// link drops 2% of its packets.
+fn flaps_under_loss(seed: u64) -> Report {
+    let faults: Vec<String> = (0..6u64)
+        .flat_map(|i| {
+            let down = 10_000 + i * 30_000;
+            [("LinkDown", down), ("LinkUp", down + 12_000)]
+        })
+        .map(|(action, at)| {
+            format!(r#"{{"at_ns": {at}, "action": {{"{action}": {{"node": 0}}}}}}"#)
+        })
+        .collect();
+    let text = format!(
+        r#"{{
+            "name": "flaps-under-loss",
+            "topology": {{"FatTree": {{"nodes": 64, "ports": 8}}}},
+            "machine": {{"recovery": true, "seed": {seed}}},
+            "workload": {{"Saturate": {{"messages": 64, "bytes": 8192,
+                "interval_ns": 8000, "service_ns": 500, "mode": "Rdma"}}}},
+            "impairments": [{{"loss": 0.02}}],
+            "faults": [{}]
+        }}"#,
+        faults.join(", ")
+    );
+    let scenario = Scenario::from_json(&text).expect("scenario parses");
+    ScenarioCompiler::new(scenario)
+        .run(1)
+        .expect("scenario compiles")
+        .report
+}
+
+/// Regression: with seed 2, a message acked while still queued in a
+/// backoff episode was handed out as the probe after it had been retired,
+/// and the run panicked with "probe is in flight". Seed 1 never hit the
+/// race and is pinned next to it as the control.
+#[test]
+fn flaps_under_loss_recover_without_ghost_probes() {
+    for (seed, want) in [(1, 0x88d6a698aedc873cu64), (2, 0xf1f95493d1c5c2afu64)] {
+        let report = flaps_under_loss(seed);
+        for (i, s) in report.node_stats.iter().enumerate() {
+            assert!(
+                s.abandoned_peers.is_empty(),
+                "seed {seed}: node {i} abandoned {:?}",
+                s.abandoned_peers
+            );
+        }
+        let nacks: u64 = report.node_stats.iter().map(|s| s.recovery_nacks).sum();
+        assert!(nacks > 0, "seed {seed}: loss never drove recovery");
+        let got = spin_scenario::digest(&report);
+        assert_eq!(got, want, "seed {seed}: digest {got:#x}");
+    }
 }
