@@ -289,6 +289,23 @@ mod tests {
     }
 
     #[test]
+    fn host_forwarded_deposits_adopt_pages_without_copying() {
+        // RDMA and P4 deposit each MTU-aligned packet through
+        // `HostMemory::write_bytes`; a packet payload is one whole page of
+        // the sender's memory, so every non-root rank takes the pages over
+        // by refcount and never clones one.
+        const BYTES: usize = 64 * 1024;
+        for mode in [BcastMode::Rdma, BcastMode::P4] {
+            let out = run_full(cfg(), mode, BYTES, 16);
+            latency_us(&out, BYTES, 16); // asserts every rank's payload
+            for rank in 1..16 {
+                let clones = out.world.nodes[rank].mem.cow_clones();
+                assert_eq!(clones, 0, "{mode:?} rank {rank} cloned {clones} pages");
+            }
+        }
+    }
+
+    #[test]
     fn latency_grows_logarithmically() {
         let t4 = run(cfg(), BcastMode::Spin, 8, 4);
         let t16 = run(cfg(), BcastMode::Spin, 8, 16);

@@ -316,9 +316,10 @@ fn main() {
         doc.push_str(&format!(
             "  \"environment\": {{ \"cores\": {cores}, \"parallel_jobs\": {par_jobs}, \"host_page_bytes\": {HOST_PAGE}, \"mtu\": {MTU} }},\n"
         ));
-        doc.push_str(
-            "  \"change\": \"parallel sweep harness (crates/experiments/src/sweep.rs: (point, replication, seed) cells fanned out over the vendored rayon with an order-preserving merge; SPIN_JOBS / --jobs selects workers) + copy-on-write paged HostMemory (64 KiB Arc pages; injection snapshots a payload by bumping page refcounts instead of copying it)\",\n",
-        );
+        doc.push_str(&format!(
+            "  \"change\": \"parallel sweep harness (crates/experiments/src/sweep.rs: (point, replication, seed) cells fanned out over the vendored rayon with an order-preserving merge; SPIN_JOBS / --jobs selects workers) + copy-on-write paged HostMemory ({} KiB Arc pages; injection snapshots a payload by bumping page refcounts instead of copying it)\",\n",
+            HOST_PAGE / 1024
+        ));
         doc.push_str("  \"sweep_ab\": [\n");
         emit_cells(&mut doc, &sweep_results, "speedup_x");
         doc.push_str("  ],\n");
@@ -326,7 +327,7 @@ fn main() {
         emit_cells(&mut doc, &inject_results, "speedup_x");
         doc.push_str("  ],\n");
         doc.push_str(
-            "  \"note\": \"sweep_* wall-clock gain scales with real cores: on a 1-vCPU box the parallel leg timeshares and the speedup reads ~1.0x — the determinism assertion (identical digests every round) is the machine-independent result there, and tests/sweep_determinism.rs + the CI SPIN_JOBS=4 step enforce it on multi-core runners. inject_* gains are copy-bandwidth wins and hold on any machine.\",\n",
+            "  \"note\": \"sweep_* wall-clock gain scales with real cores: on a 1-vCPU box the parallel leg timeshares and the speedup reads ~1.0x — the determinism assertion (identical digests every round) is the machine-independent result there, and tests/sweep_determinism.rs + the CI SPIN_JOBS=4 step enforce it on multi-core runners. inject_* sends start at page-misaligned offsets, so with one-MTU host pages every packet window straddles two pages and is gathered: the cells price that worst case against the old whole-payload copy, while MTU-aligned sends slice one whole page per packet and copy nothing.\",\n",
         );
         doc.push_str(
             "  \"equivalence\": \"every round asserts leg digests are equal (sweep: FNV over the emitted JSON; inject: FNV fold over every packet view); tests/sweep_determinism.rs pins byte-identical SPIN_JOBS=1 vs 4 output and crates/hpu/tests/memory_model.rs proves the CoW memory against a flat Vec<u8> model\"\n",

@@ -382,6 +382,16 @@ mod tests {
     }
 
     #[test]
+    fn host_page_is_one_mtu() {
+        assert_eq!(
+            spin_hpu::memory::HOST_PAGE,
+            NetParams::paper().mtu,
+            "receive deposits take over the sender's host page by refcount \
+             only when an MTU-aligned packet payload is exactly one page"
+        );
+    }
+
+    #[test]
     fn impairment_rules_first_match_wins_and_loopback_is_exempt() {
         let specific = LinkImpairment {
             latency: Time::from_ns(500),

@@ -8,14 +8,16 @@
 //! * [`HostMemory`] — the node's host DRAM that DMA reads/writes target.
 //!   Keeping real bytes here is what lets the reproduction check functional
 //!   correctness (datatype unpack layouts, RAID parity, accumulate values)
-//!   the way the paper's gem5 execution does. Storage is a vector of
-//!   [`HOST_PAGE`]-sized reference-counted pages with **copy-on-write**
-//!   semantics: [`HostMemory::read_slice`] hands out O(1) page views (a
-//!   [`MemSlice`]) instead of copying the payload, and a write to a page
-//!   that still has live views clones just that page, so every
-//!   outstanding view keeps the exact bytes it saw when it was taken.
+//!   the way the paper's gem5 execution does. Storage is a lazily grown
+//!   table of [`HOST_PAGE`]-sized reference-counted pages with
+//!   **copy-on-write** semantics: [`HostMemory::read_slice`] hands out O(1)
+//!   page views (a [`MemSlice`]) instead of copying the payload, and a
+//!   write to a page that still has live views clones just that page, so
+//!   every outstanding view keeps the exact bytes it saw when it was taken.
 //!   This is what makes message injection O(1) in payload size: the send
 //!   path snapshots a multi-MB region by bumping a handful of refcounts.
+//!   A page is one MTU, so an MTU-aligned packet payload is exactly one
+//!   page and the receive deposit adopts it by refcount instead of copying.
 
 use bytes::Bytes;
 use std::sync::{Arc, OnceLock};
@@ -161,16 +163,23 @@ impl HpuMemory {
     }
 }
 
-/// Copy-on-write page size of [`HostMemory`]: 64 KiB, i.e. 16 network MTUs,
-/// so MTU-aligned sends never straddle a page boundary and per-packet
-/// payload views are O(1) slices of one page.
-pub const HOST_PAGE: usize = 64 * 1024;
+/// Copy-on-write page size of [`HostMemory`]: 4 KiB, one network MTU
+/// (`NetParams::paper().mtu`). Sends packetize at MTU boundaries, so an
+/// MTU-aligned packet payload is one whole page: the sender's view of it
+/// is an O(1) page slice, and the receiver's deposit
+/// ([`HostMemory::write_bytes`]) adopts that page by refcount bump. A
+/// copy-on-write clone or a first touch costs one MTU. The price is paid
+/// by payloads sent from page-misaligned offsets: each packet window then
+/// straddles two pages and [`MemSlice::slice`] gathers it, at most one
+/// MTU per packet.
+pub const HOST_PAGE: usize = 4 * 1024;
 
-/// The shared all-zero page every fresh [`HostMemory`] starts from: a
-/// 64 MiB node allocates nothing until it is written.
-fn zero_page() -> Arc<[u8]> {
+/// The all-zero page that every untouched page of a [`HostMemory`] reads
+/// as. Shared by every memory, so a fresh 64 MiB node allocates nothing
+/// until it is written.
+fn zero_page() -> &'static Arc<[u8]> {
     static ZERO: OnceLock<Arc<[u8]>> = OnceLock::new();
-    Arc::clone(ZERO.get_or_init(|| Arc::from(vec![0u8; HOST_PAGE])))
+    ZERO.get_or_init(|| Arc::from([0u8; HOST_PAGE]))
 }
 
 /// A cheap, immutable view of a [`HostMemory`] byte range: an ordered list
@@ -181,8 +190,9 @@ fn zero_page() -> Arc<[u8]> {
 ///
 /// [`MemSlice::slice`] produces contiguous [`Bytes`] windows for
 /// packetization: O(1) when the window lies inside one segment (the common
-/// case — packets are MTU-sized and pages are 16 MTUs), a bounded
-/// window-sized copy when it straddles a segment boundary.
+/// case — a page is one MTU, so an MTU-aligned packet window is one whole
+/// page), a bounded window-sized copy when it straddles a segment boundary
+/// (a payload sent from a page-misaligned offset).
 #[derive(Debug, Clone, Default)]
 pub struct MemSlice {
     segs: Vec<Bytes>,
@@ -300,22 +310,26 @@ impl MemSlice {
 }
 
 /// The node's simulated host DRAM: [`HOST_PAGE`]-sized reference-counted
-/// pages with copy-on-write writes (see the module docs). Cloning a
-/// `HostMemory` is O(pages) refcount bumps; the clone and the original
-/// diverge page by page as either side writes.
+/// pages with copy-on-write writes (see the module docs). The page table
+/// is lazy: it grows on the first write up to the highest page written,
+/// and an absent page reads as the shared zero page. Cloning a
+/// `HostMemory` is O(pages written) refcount bumps; the clone and the
+/// original diverge page by page as either side writes.
 #[derive(Debug, Clone)]
 pub struct HostMemory {
-    pages: Vec<Arc<[u8]>>,
+    /// `None`, and every index past the end, is an untouched zero page.
+    pages: Vec<Option<Arc<[u8]>>>,
     len: usize,
     cow_clones: u64,
 }
 
 impl HostMemory {
-    /// Allocate `len` bytes of zeroed host memory. All pages start as
-    /// views of one shared zero page, so this allocates no storage.
+    /// Allocate `len` bytes of zeroed host memory. The page table starts
+    /// empty — every page reads as the shared zero page — so this
+    /// allocates nothing.
     pub fn new(len: usize) -> Self {
         HostMemory {
-            pages: (0..len.div_ceil(HOST_PAGE)).map(|_| zero_page()).collect(),
+            pages: Vec::new(),
             len,
             cow_clones: 0,
         }
@@ -332,8 +346,8 @@ impl HostMemory {
     }
 
     /// Pages cloned by copy-on-write so far (a write landed on a page that
-    /// still had live views or clone sharers). Introspection for tests and
-    /// the injection-copy benchmarks.
+    /// still had live views or clone sharers, or on an untouched zero
+    /// page). Introspection for tests and the injection-copy benchmarks.
     pub fn cow_clones(&self) -> u64 {
         self.cow_clones
     }
@@ -350,15 +364,35 @@ impl HostMemory {
         }
     }
 
+    /// Page `p` as shared storage: the zero page when it was never written.
+    fn page(&self, p: usize) -> &Arc<[u8]> {
+        match self.pages.get(p) {
+            Some(Some(page)) => page,
+            _ => zero_page(),
+        }
+    }
+
+    /// The table slot of page `p`, growing the table up to it.
+    fn slot_mut(&mut self, p: usize) -> &mut Option<Arc<[u8]>> {
+        if p >= self.pages.len() {
+            self.pages.resize(p + 1, None);
+        }
+        &mut self.pages[p]
+    }
+
     /// Mutable access to page `p`, cloning it first if any view, snapshot,
-    /// or memory clone still shares it — the copy-on-write step.
+    /// or memory clone still shares it — the copy-on-write step. An
+    /// untouched page is materialized here, as a clone of the zero page.
     fn page_mut(&mut self, p: usize) -> &mut [u8] {
-        if Arc::get_mut(&mut self.pages[p]).is_none() {
-            let copy: Arc<[u8]> = Arc::from(self.pages[p].as_ref());
-            self.pages[p] = copy;
+        if self.slot_mut(p).as_mut().and_then(Arc::get_mut).is_none() {
+            let copy = Arc::from(self.page(p).as_ref());
+            self.pages[p] = Some(copy);
             self.cow_clones += 1;
         }
-        Arc::get_mut(&mut self.pages[p]).expect("page just uniquified")
+        self.pages[p]
+            .as_mut()
+            .and_then(Arc::get_mut)
+            .expect("page just uniquified")
     }
 
     /// Read a range. Borrowed (zero-copy) when it falls inside one page,
@@ -372,13 +406,13 @@ impl HostMemory {
         }
         let (p, o) = (offset / HOST_PAGE, offset % HOST_PAGE);
         if o + len <= HOST_PAGE {
-            return Ok(std::borrow::Cow::Borrowed(&self.pages[p][o..o + len]));
+            return Ok(std::borrow::Cow::Borrowed(&self.page(p)[o..o + len]));
         }
         let mut out = Vec::with_capacity(len);
         let (mut p, mut o, mut remaining) = (p, o, len);
         while remaining > 0 {
             let take = remaining.min(HOST_PAGE - o);
-            out.extend_from_slice(&self.pages[p][o..o + take]);
+            out.extend_from_slice(&self.page(p)[o..o + take]);
             remaining -= take;
             o = 0;
             p += 1;
@@ -398,7 +432,7 @@ impl HostMemory {
         }
         let (p, o) = (offset / HOST_PAGE, offset % HOST_PAGE);
         if o + len <= HOST_PAGE {
-            return Ok(Bytes::from_arc(Arc::clone(&self.pages[p]), o, o + len));
+            return Ok(Bytes::from_arc(Arc::clone(self.page(p)), o, o + len));
         }
         Ok(Bytes::from(self.read(offset, len)?.into_owned()))
     }
@@ -413,7 +447,7 @@ impl HostMemory {
         let (mut p, mut o, mut remaining) = (offset / HOST_PAGE, offset % HOST_PAGE, len);
         while remaining > 0 {
             let take = remaining.min(HOST_PAGE - o);
-            out.push_seg(Bytes::from_arc(Arc::clone(&self.pages[p]), o, o + take));
+            out.push_seg(Bytes::from_arc(Arc::clone(self.page(p)), o, o + take));
             remaining -= take;
             o = 0;
             p += 1;
@@ -445,7 +479,7 @@ impl HostMemory {
         self.bounds(offset, bytes.len())?;
         if offset.is_multiple_of(HOST_PAGE) && bytes.len() == HOST_PAGE {
             if let Some(backing) = bytes.full_backing() {
-                self.pages[offset / HOST_PAGE] = backing;
+                *self.slot_mut(offset / HOST_PAGE) = Some(backing);
                 return Ok(());
             }
         }
@@ -755,6 +789,62 @@ mod tests {
         c.write_slice(0, &view).unwrap();
         src.write(0, &[0x11; 16]).unwrap();
         assert_eq!(&c.read(0, 16).unwrap()[..], &pat[..16]);
+    }
+
+    #[test]
+    fn fresh_memory_reads_zero_and_allocates_nothing() {
+        // A paper-sized node: every read shape sees zeros through the lazy
+        // table, and nothing is materialized or cloned.
+        const LEN: usize = 64 << 20;
+        let m = HostMemory::new(LEN);
+        assert!(m.pages.is_empty(), "page table starts empty");
+        assert_eq!(m.get_u64(0).unwrap(), 0);
+        assert_eq!(m.get_u64(LEN - 8).unwrap(), 0);
+        assert_eq!(&m.read_bytes(LEN - 8, 8).unwrap()[..], &[0; 8]);
+        let tail = m
+            .read_slice(LEN - 3 * HOST_PAGE - 5, 3 * HOST_PAGE + 5)
+            .unwrap();
+        assert_eq!(tail.segments(), 4);
+        assert!(tail.to_vec().iter().all(|&b| b == 0));
+        assert_eq!(m.cow_clones(), 0);
+        assert!(m.pages.is_empty(), "reads never grow the table");
+    }
+
+    #[test]
+    fn first_write_to_the_last_page_grows_the_table_to_it() {
+        let len = 8 * HOST_PAGE + 100;
+        let mut m = HostMemory::new(len);
+        m.write(len - 6, b"tail!!").unwrap();
+        assert_eq!(&m.read(len - 6, 6).unwrap()[..], b"tail!!");
+        assert_eq!(m.pages.len(), 9, "grown up to the highest page written");
+        assert_eq!(m.cow_clones(), 1, "first touch copies the zero page once");
+        // Every page below it is still an untouched zero page.
+        assert!(m.pages[..8].iter().all(Option::is_none));
+        assert!(m.read(0, 8 * HOST_PAGE).unwrap().iter().all(|&b| b == 0));
+        assert_eq!(&m.read(len - 100, 94).unwrap()[..], &[0; 94][..]);
+        // A later write below the high-water mark fills a hole in place.
+        m.write(3 * HOST_PAGE + 1, &[7; 3]).unwrap();
+        assert_eq!(m.pages.len(), 9);
+        assert_eq!(m.cow_clones(), 2);
+        assert_eq!(&m.read(3 * HOST_PAGE, 5).unwrap()[..], &[0, 7, 7, 7, 0]);
+    }
+
+    #[test]
+    fn lazy_clone_diverges_page_by_page() {
+        // Clone a memory whose table is partly grown, then write on both
+        // sides, including past the clone's high-water mark.
+        let mut a = HostMemory::new(6 * HOST_PAGE);
+        a.write(HOST_PAGE + 1, b"shared").unwrap();
+        let mut b = a.clone();
+        b.write(HOST_PAGE + 1, b"b-side").unwrap();
+        b.write(5 * HOST_PAGE, b"b-high").unwrap();
+        a.write(3 * HOST_PAGE, b"a-mid").unwrap();
+        assert_eq!(&a.read(HOST_PAGE + 1, 6).unwrap()[..], b"shared");
+        assert_eq!(&b.read(HOST_PAGE + 1, 6).unwrap()[..], b"b-side");
+        assert_eq!(&a.read(5 * HOST_PAGE, 6).unwrap()[..], &[0; 6]);
+        assert_eq!(&b.read(5 * HOST_PAGE, 6).unwrap()[..], b"b-high");
+        assert_eq!(&b.read(3 * HOST_PAGE, 5).unwrap()[..], &[0; 5]);
+        assert_eq!(&a.read(3 * HOST_PAGE, 5).unwrap()[..], b"a-mid");
     }
 
     #[test]

@@ -12,7 +12,12 @@
 //! * **deposits**: `write_bytes` / `write_slice` adopt whole pages by
 //!   refcount when source and destination are page-aligned (the receive
 //!   side of an RDMA deposit) — observationally they must stay plain
-//!   byte copies, including when source and destination overlap.
+//!   byte copies, including when source and destination overlap;
+//! * **the lazy page table**: it grows only on a write, up to the highest
+//!   page written, and everything past that high-water mark (or in a hole
+//!   below it) reads as zeros. A tail op reads, snapshots or writes at the
+//!   end of the region, so the table is often grown to its last page while
+//!   most pages below stay untouched.
 //!
 //! Offsets and lengths are drawn to straddle page boundaries aggressively
 //! (the region spans several pages and `offset % region` lands anywhere),
@@ -23,9 +28,12 @@ use proptest::collection;
 use proptest::prelude::*;
 use spin_hpu::memory::{HostMemory, MemSlice, HOST_PAGE};
 
-/// Region size: a few pages plus a ragged tail, so "last page is partial"
-/// is always in play.
-const LEN: usize = 3 * HOST_PAGE + 1234;
+/// Whole pages in the region.
+const PAGES: usize = 8;
+
+/// Region size: several pages plus a ragged tail, so "last page is
+/// partial" is always in play and random writes leave holes in the table.
+const LEN: usize = PAGES * HOST_PAGE + 1234;
 
 /// Deterministic fill pattern for a write op.
 fn pattern(seed: u8, len: usize) -> Vec<u8> {
@@ -59,7 +67,7 @@ proptest! {
 
         for &(code, a, b, v) in &ops {
             let (off, len) = shape(a, b);
-            match code % 8 {
+            match code % 9 {
                 // Write a deterministic pattern.
                 0 => {
                     let data = pattern(v, len);
@@ -104,8 +112,8 @@ proptest! {
                 5 => {
                     let (src, dst, n) = if v % 2 == 0 {
                         (
-                            ((a as usize) % 3) * HOST_PAGE,
-                            ((b as usize) % 3) * HOST_PAGE,
+                            ((a as usize) % PAGES) * HOST_PAGE,
+                            ((b as usize) % PAGES) * HOST_PAGE,
                             HOST_PAGE,
                         )
                     } else {
@@ -129,6 +137,31 @@ proptest! {
                     let expect = model[src..src + n].to_vec();
                     mem.write_slice(dst, &view).unwrap();
                     model[dst..dst + n].copy_from_slice(&expect);
+                }
+                // Tail op: a window that ends at or near the end of the
+                // region, on pages past the table's high-water mark until
+                // something writes there. `v` picks write, snapshot or read.
+                7 => {
+                    let off = LEN - 1 - (a as usize) % (2 * HOST_PAGE);
+                    let len = ((b as usize) % (2 * HOST_PAGE)).min(LEN - off);
+                    match v % 3 {
+                        0 => {
+                            let data = pattern(v, len);
+                            mem.write(off, &data).unwrap();
+                            model[off..off + len].copy_from_slice(&data);
+                        }
+                        1 => snapshots.push((
+                            mem.read_slice(off, len).unwrap(),
+                            model[off..off + len].to_vec(),
+                        )),
+                        _ => {
+                            prop_assert_eq!(&mem.read(off, len).unwrap()[..], &model[off..off + len]);
+                            prop_assert_eq!(
+                                mem.read_slice(off, LEN - off).unwrap().to_vec(),
+                                &model[off..]
+                            );
+                        }
+                    }
                 }
                 // Fork a clone once, then keep writing to it only: the
                 // clone tracks its own model, the original keeps tracking
