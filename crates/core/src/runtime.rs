@@ -164,16 +164,19 @@ impl NodeCtx<'_> {
         self.deliver_event(q, t, ev);
     }
 
-    /// Execute one handler on `core`: set up the sandboxed [`HandlerCtx`],
-    /// run the body, charge HPU occupancy, record the Gantt span (lane and
-    /// label built only when recording), and feed the handler's side
-    /// effects back into the event queue.
+    /// Execute one handler on `core`: set up the sandboxed [`HandlerCtx`]
+    /// over `packet` (the payload handler's packet data, empty for header
+    /// and completion handlers), run the body, charge HPU occupancy,
+    /// record the Gantt span (lane and label built only when recording),
+    /// and feed the handler's side effects back into the event queue.
+    #[allow(clippy::too_many_arguments)]
     pub fn run_common<R>(
         &mut self,
         q: &mut EventQueue<Ev>,
         core: usize,
         ready: Time,
         env: HandlerEnv,
+        packet: &Bytes,
         kind: &'static str,
         body: impl FnOnce(&mut HandlerCtx<'_>, &mut HpuMemory) -> Result<R, Segv>,
     ) -> (Time, Result<R, Segv>) {
@@ -189,6 +192,7 @@ impl NodeCtx<'_> {
             num_hpus,
             self.dma,
             self.mem,
+            packet,
             (env.me_start, env.me_len),
             env.handler_region,
             self.mtu,
@@ -225,13 +229,23 @@ impl NodeCtx<'_> {
     ) -> (Time, Result<HeaderRet, Segv>) {
         self.stats.header_runs += 1;
         let header = std::sync::Arc::clone(&ch.header);
-        self.run_common(q, core, ready, HandlerEnv::of(ch), "hdr", |ctx, state| {
-            let args = HeaderArgs { header: &header };
-            hs.header(ctx, &args, state)
-        })
+        self.run_common(
+            q,
+            core,
+            ready,
+            HandlerEnv::of(ch),
+            &Bytes::new(),
+            "hdr",
+            |ctx, state| {
+                let args = HeaderArgs { header: &header };
+                hs.header(ctx, &args, state)
+            },
+        )
     }
 
-    /// Run a payload handler for one packet's data.
+    /// Run a payload handler for one packet's data. The handler context
+    /// borrows `data` for the run, so the handler's forwards and
+    /// whole-page deposits can share the packet's storage.
     #[allow(clippy::too_many_arguments)]
     pub fn run_payload(
         &mut self,
@@ -245,7 +259,7 @@ impl NodeCtx<'_> {
         msg_length: usize,
     ) -> (Time, Result<PayloadRet, Segv>) {
         self.stats.payload_runs += 1;
-        self.run_common(q, core, ready, env, "pay", |ctx, state| {
+        self.run_common(q, core, ready, env, data, "pay", |ctx, state| {
             let args = PayloadArgs {
                 data,
                 offset: data_off,
@@ -279,9 +293,15 @@ impl NodeCtx<'_> {
             dropped_bytes: ch.dropped_bytes,
             flow_control_triggered: ch.flow_control,
         };
-        self.run_common(q, core, ready, HandlerEnv::of(ch), "cpl", |ctx, state| {
-            hs.completion(ctx, &info, state)
-        })
+        self.run_common(
+            q,
+            core,
+            ready,
+            HandlerEnv::of(ch),
+            &Bytes::new(),
+            "cpl",
+            |ctx, state| hs.completion(ctx, &info, state),
+        )
     }
 }
 

@@ -13,10 +13,20 @@
 //! host-memory windows their ME grants (the ME region and the
 //! `handler_host_mem` region of Appendix B.1); any other access is a
 //! [`Segv`], reported through the handler's error return code.
+//!
+//! A payload handler's context holds the packet it runs on, so packet
+//! bytes leave the NIC without a copy, as `PtlHandlerPutFromDevice` does
+//! from the packet buffer: a slice of the packet handed to
+//! [`HandlerCtx::put_from_device`] becomes a view of the packet's storage,
+//! and one handed to [`HandlerCtx::dma_to_host_b`] as a whole page at a
+//! page-aligned destination is adopted by the host page table by refcount
+//! ([`HostMemory::write_bytes`]). Any other buffer (HPU state, a stack
+//! array, bytes read back by DMA) is copied. Either way the bytes, and the
+//! simulated time, are the same.
 
 use crate::cost;
 use crate::dma::DmaEngine;
-use crate::memory::{HostMemory, Segv};
+use crate::memory::{HostMemory, Segv, HOST_PAGE};
 use bytes::Bytes;
 use spin_portals::types::{MatchBits, ProcessId, UserHeader};
 use spin_sim::time::Time;
@@ -176,6 +186,7 @@ pub struct HandlerCtx<'a> {
     num_hpus: usize,
     dma: &'a mut DmaEngine,
     host: &'a mut HostMemory,
+    packet: &'a Bytes,
     me_region: (usize, usize),
     handler_region: (usize, usize),
     max_payload: usize,
@@ -185,8 +196,9 @@ pub struct HandlerCtx<'a> {
 
 impl<'a> HandlerCtx<'a> {
     /// Create a context for a handler starting at absolute time `start`,
-    /// pinned to `core` of `num_hpus`, sandboxed to the given host-memory
-    /// windows (`(base, len)` pairs).
+    /// pinned to `core` of `num_hpus`, running on `packet` (the payload
+    /// handler's packet data; empty for header and completion handlers),
+    /// sandboxed to the given host-memory windows (`(base, len)` pairs).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         start: Time,
@@ -194,6 +206,7 @@ impl<'a> HandlerCtx<'a> {
         num_hpus: usize,
         dma: &'a mut DmaEngine,
         host: &'a mut HostMemory,
+        packet: &'a Bytes,
         me_region: (usize, usize),
         handler_region: (usize, usize),
         max_payload: usize,
@@ -207,6 +220,7 @@ impl<'a> HandlerCtx<'a> {
             num_hpus,
             dma,
             host,
+            packet,
             me_region,
             handler_region,
             max_payload,
@@ -275,6 +289,26 @@ impl<'a> HandlerCtx<'a> {
         }
     }
 
+    /// `bytes` as a view of the packet's storage when it lies inside the
+    /// packet this handler runs on; `None` for any other buffer.
+    fn packet_view(&self, bytes: &[u8]) -> Option<Bytes> {
+        let start = (bytes.as_ptr() as usize).checked_sub(self.packet.as_ptr() as usize)?;
+        let end = start + bytes.len();
+        (end <= self.packet.len()).then(|| self.packet.slice(start..end))
+    }
+
+    /// Deposit `data` at absolute host address `abs`: a whole page of the
+    /// packet at a page-aligned address is adopted by refcount, anything
+    /// else is copied.
+    fn deposit(&mut self, abs: usize, data: &[u8]) -> Result<(), Segv> {
+        if abs.is_multiple_of(HOST_PAGE) && data.len() == HOST_PAGE {
+            if let Some(view) = self.packet_view(data) {
+                return self.host.write_bytes(abs, &view);
+            }
+        }
+        self.host.write(abs, data)
+    }
+
     // ---- DMA (Appendix B.6) ----
 
     /// `PtlHandlerDMAFromHostB`: blocking read of `len` bytes at `offset`
@@ -297,7 +331,9 @@ impl<'a> HandlerCtx<'a> {
     /// `PtlHandlerDMAToHostB`: blocking write of `data` at `offset` within
     /// `region`. Blocks until the data path accepted the data (the short
     /// blocking sections in the Appendix C.3.2 traces); global visibility is
-    /// one DMA latency later.
+    /// one DMA latency later. A whole page of the packet written to a
+    /// page-aligned address shares the packet's storage; any other write
+    /// copies (see the module docs).
     pub fn dma_to_host_b(
         &mut self,
         region: MemRegion,
@@ -307,7 +343,7 @@ impl<'a> HandlerCtx<'a> {
         self.charge(cost::DMA_ISSUE);
         let abs = self.resolve(region, offset, data.len())?;
         let timing = self.dma.write(self.now(), data.len());
-        self.host.write(abs, data)?;
+        self.deposit(abs, data)?;
         self.block(timing.channel_end);
         Ok(())
     }
@@ -329,7 +365,8 @@ impl<'a> HandlerCtx<'a> {
         Ok((data, DmaHandle(self.nb_dma.len() - 1)))
     }
 
-    /// `PtlHandlerDMAToHostNB`: nonblocking write.
+    /// `PtlHandlerDMAToHostNB`: nonblocking write. Shares or copies the
+    /// bytes exactly as [`Self::dma_to_host_b`] does.
     pub fn dma_to_host_nb(
         &mut self,
         region: MemRegion,
@@ -339,7 +376,7 @@ impl<'a> HandlerCtx<'a> {
         self.charge(cost::DMA_ISSUE + cost::DMA_NB_EXTRA);
         let abs = self.resolve(region, offset, data.len())?;
         let timing = self.dma.write(self.now(), data.len());
-        self.host.write(abs, data)?;
+        self.deposit(abs, data)?;
         self.nb_dma.push(timing.channel_end);
         Ok(DmaHandle(self.nb_dma.len() - 1))
     }
@@ -393,7 +430,9 @@ impl<'a> HandlerCtx<'a> {
     // ---- message generation ----
 
     /// `PtlHandlerPutFromDevice`: single-packet put from NIC memory.
-    /// Payload must fit `max_payload_size`.
+    /// Payload must fit `max_payload_size`. Bytes of the handler's packet
+    /// are sent as a view of the packet's storage; any other buffer (HPU
+    /// state, a stack array) is copied.
     pub fn put_from_device(
         &mut self,
         payload: &[u8],
@@ -402,25 +441,14 @@ impl<'a> HandlerCtx<'a> {
         remote_offset: usize,
         hdr_data: u64,
     ) -> Result<(), Segv> {
-        assert!(
-            payload.len() <= self.max_payload,
-            "PutFromDevice payload {} exceeds max_payload_size {}",
-            payload.len(),
-            self.max_payload
-        );
-        self.charge(cost::PUT_FROM_DEVICE_ISSUE);
-        self.actions.push((
-            self.now(),
-            OutAction::PutFromDevice {
-                payload: Bytes::copy_from_slice(payload),
-                target,
-                match_bits,
-                remote_offset,
-                hdr_data,
-                user_hdr: UserHeader::empty(),
-            },
-        ));
-        Ok(())
+        self.put_from_device_with_header(
+            payload,
+            target,
+            match_bits,
+            remote_offset,
+            hdr_data,
+            UserHeader::empty(),
+        )
     }
 
     /// `PtlHandlerPutFromHost`: nonblocking put of ME-region host memory via
@@ -493,12 +521,19 @@ impl<'a> HandlerCtx<'a> {
         hdr_data: u64,
         user_hdr: UserHeader,
     ) -> Result<(), Segv> {
-        assert!(payload.len() <= self.max_payload);
+        assert!(
+            payload.len() <= self.max_payload,
+            "PutFromDevice payload {} exceeds max_payload_size {}",
+            payload.len(),
+            self.max_payload
+        );
         self.charge(cost::PUT_FROM_DEVICE_ISSUE);
         self.actions.push((
             self.now(),
             OutAction::PutFromDevice {
-                payload: Bytes::copy_from_slice(payload),
+                payload: self
+                    .packet_view(payload)
+                    .unwrap_or_else(|| Bytes::copy_from_slice(payload)),
                 target,
                 match_bits,
                 remote_offset,
@@ -570,20 +605,27 @@ mod tests {
     use super::*;
     use crate::dma::DmaParams;
 
-    fn setup() -> (DmaEngine, HostMemory) {
+    /// A DMA engine, 1 MiB of host memory, and an empty packet.
+    fn setup() -> (DmaEngine, HostMemory, Bytes) {
         (
             DmaEngine::new(DmaParams::integrated()),
             HostMemory::new(1 << 20),
+            Bytes::new(),
         )
     }
 
-    fn ctx<'a>(dma: &'a mut DmaEngine, host: &'a mut HostMemory) -> HandlerCtx<'a> {
+    fn ctx<'a>(
+        dma: &'a mut DmaEngine,
+        host: &'a mut HostMemory,
+        packet: &'a Bytes,
+    ) -> HandlerCtx<'a> {
         HandlerCtx::new(
             Time::from_us(1),
             0,
             4,
             dma,
             host,
+            packet,
             (0, 1 << 16),       // ME region: first 64 KiB
             (1 << 16, 1 << 10), // handler region: 1 KiB after it
             4096,
@@ -592,8 +634,8 @@ mod tests {
 
     #[test]
     fn invoke_cost_charged() {
-        let (mut dma, mut host) = setup();
-        let c = ctx(&mut dma, &mut host);
+        let (mut dma, mut host, none) = setup();
+        let c = ctx(&mut dma, &mut host, &none);
         assert_eq!(c.elapsed(), cost::cycles(cost::HANDLER_INVOKE));
         assert_eq!(c.my_hpu(), 0);
         assert_eq!(c.num_hpus(), 4);
@@ -607,9 +649,9 @@ mod tests {
 
     #[test]
     fn blocking_read_blocks_for_round_trip() {
-        let (mut dma, mut host) = setup();
+        let (mut dma, mut host, none) = setup();
         host.write(100, &[7u8; 64]).unwrap();
-        let mut c = ctx(&mut dma, &mut host);
+        let mut c = ctx(&mut dma, &mut host, &none);
         let before = c.elapsed();
         let data = c.dma_from_host_b(MemRegion::MeHost, 100, 64).unwrap();
         assert_eq!(data, vec![7u8; 64]);
@@ -623,8 +665,8 @@ mod tests {
 
     #[test]
     fn blocking_write_blocks_briefly() {
-        let (mut dma, mut host) = setup();
-        let mut c = ctx(&mut dma, &mut host);
+        let (mut dma, mut host, none) = setup();
+        let mut c = ctx(&mut dma, &mut host, &none);
         c.dma_to_host_b(MemRegion::MeHost, 0, &[1u8; 4096]).unwrap();
         // Write blocks for the channel only (~27 ns at 150 GiB/s), no 2L.
         assert!(c.elapsed() < Time::from_ns(60), "{}", c.elapsed());
@@ -635,8 +677,8 @@ mod tests {
 
     #[test]
     fn sandbox_enforced() {
-        let (mut dma, mut host) = setup();
-        let mut c = ctx(&mut dma, &mut host);
+        let (mut dma, mut host, none) = setup();
+        let mut c = ctx(&mut dma, &mut host, &none);
         // ME region is 64 KiB: offset 65536 is out.
         assert!(c.dma_from_host_b(MemRegion::MeHost, 1 << 16, 8).is_err());
         // Handler region is 1 KiB.
@@ -652,8 +694,8 @@ mod tests {
 
     #[test]
     fn handler_region_is_offset() {
-        let (mut dma, mut host) = setup();
-        let mut c = ctx(&mut dma, &mut host);
+        let (mut dma, mut host, none) = setup();
+        let mut c = ctx(&mut dma, &mut host, &none);
         c.dma_to_host_b(MemRegion::HandlerHost, 0, &[9u8; 4])
             .unwrap();
         drop(c.finish());
@@ -663,9 +705,9 @@ mod tests {
 
     #[test]
     fn nonblocking_dma_overlaps() {
-        let (mut dma, mut host) = setup();
+        let (mut dma, mut host, none) = setup();
         host.write(0, &[3u8; 4096]).unwrap();
-        let mut c = ctx(&mut dma, &mut host);
+        let mut c = ctx(&mut dma, &mut host, &none);
         let (data, h) = c.dma_from_host_nb(MemRegion::MeHost, 0, 4096).unwrap();
         assert_eq!(data[0], 3);
         assert!(!c.dma_test(h), "can't be done immediately");
@@ -680,8 +722,8 @@ mod tests {
 
     #[test]
     fn actions_carry_issue_timestamps() {
-        let (mut dma, mut host) = setup();
-        let mut c = ctx(&mut dma, &mut host);
+        let (mut dma, mut host, none) = setup();
+        let mut c = ctx(&mut dma, &mut host, &none);
         c.compute_cycles(100);
         c.put_from_device(&[1, 2, 3], 5, 42, 0, 0).unwrap();
         c.compute_cycles(100);
@@ -707,17 +749,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds max_payload_size")]
     fn oversized_put_from_device_panics() {
-        let (mut dma, mut host) = setup();
-        let mut c = ctx(&mut dma, &mut host);
+        let (mut dma, mut host, none) = setup();
+        let mut c = ctx(&mut dma, &mut host, &none);
         let big = vec![0u8; 5000];
         let _ = c.put_from_device(&big, 1, 0, 0, 0);
     }
 
     #[test]
     fn dma_atomics() {
-        let (mut dma, mut host) = setup();
+        let (mut dma, mut host, none) = setup();
         host.put_u64(8, 10).unwrap();
-        let mut c = ctx(&mut dma, &mut host);
+        let mut c = ctx(&mut dma, &mut host, &none);
         let before = c.dma_fetch_add_b(MemRegion::MeHost, 8, 5).unwrap();
         assert_eq!(before, 10);
         let mut cmp = 15;
@@ -730,8 +772,8 @@ mod tests {
 
     #[test]
     fn ct_ops_recorded() {
-        let (mut dma, mut host) = setup();
-        let mut c = ctx(&mut dma, &mut host);
+        let (mut dma, mut host, none) = setup();
+        let mut c = ctx(&mut dma, &mut host, &none);
         c.ct_inc(3, 1);
         c.ct_set(4, 10);
         c.yield_now();
@@ -749,7 +791,7 @@ mod tests {
 
     #[test]
     fn competing_handlers_contend_on_dma() {
-        let (mut dma, mut host) = setup();
+        let (mut dma, mut host, none) = setup();
         host.write(0, &[1u8; 8192]).unwrap();
         let t1 = {
             let mut c = HandlerCtx::new(
@@ -758,6 +800,7 @@ mod tests {
                 4,
                 &mut dma,
                 &mut host,
+                &none,
                 (0, 1 << 16),
                 (0, 0),
                 4096,
@@ -774,6 +817,7 @@ mod tests {
                 4,
                 &mut dma,
                 &mut host,
+                &none,
                 (0, 1 << 16),
                 (0, 0),
                 4096,
@@ -782,5 +826,124 @@ mod tests {
             c.finish().duration
         };
         assert!(t2 > t1, "t1={t1} t2={t2}");
+    }
+
+    /// One packet's worth of distinct bytes.
+    fn page_packet() -> Bytes {
+        Bytes::from((0..HOST_PAGE).map(|i| (i % 251) as u8).collect::<Vec<u8>>())
+    }
+
+    #[test]
+    fn whole_packet_page_deposit_is_adopted() {
+        let (mut dma, mut host, _) = setup();
+        let pkt = page_packet();
+        let mut c = ctx(&mut dma, &mut host, &pkt);
+        c.dma_to_host_b(MemRegion::MeHost, HOST_PAGE, &pkt).unwrap();
+        c.dma_to_host_nb(MemRegion::MeHost, 3 * HOST_PAGE, &pkt)
+            .unwrap();
+        drop(c.finish());
+        // Both pages took the packet's storage over: no page was
+        // materialized or cloned, and each reads back as a view of it.
+        assert_eq!(host.cow_clones(), 0);
+        for abs in [HOST_PAGE, 3 * HOST_PAGE] {
+            let got = host.read_bytes(abs, HOST_PAGE).unwrap();
+            assert_eq!(got, pkt);
+            assert_eq!(got.as_ptr(), pkt.as_ptr(), "page at {abs} not shared");
+        }
+    }
+
+    #[test]
+    fn partial_misaligned_and_foreign_deposits_copy() {
+        let (mut dma, mut host, _) = setup();
+        let pkt = page_packet();
+        let foreign = pkt.to_vec();
+        let mut c = ctx(&mut dma, &mut host, &pkt);
+        // A sub-page piece of the packet at a page-aligned address.
+        c.dma_to_host_b(MemRegion::MeHost, 0, &pkt[..100]).unwrap();
+        // The whole packet at a misaligned address (straddles two pages).
+        c.dma_to_host_b(MemRegion::MeHost, 2 * HOST_PAGE + 8, &pkt)
+            .unwrap();
+        // A whole page from a buffer that is not the packet.
+        c.dma_to_host_nb(MemRegion::MeHost, 5 * HOST_PAGE, &foreign)
+            .unwrap();
+        drop(c.finish());
+        // Every touched page was materialized and written by copy: one
+        // page, two pages, one page.
+        assert_eq!(host.cow_clones(), 4);
+        assert_eq!(&host.read(0, 100).unwrap()[..], &pkt[..100]);
+        assert_eq!(
+            &host.read(2 * HOST_PAGE + 8, HOST_PAGE).unwrap()[..],
+            &pkt[..]
+        );
+        let got = host.read_bytes(5 * HOST_PAGE, HOST_PAGE).unwrap();
+        assert_eq!(&got[..], &foreign[..]);
+        assert_ne!(got.as_ptr(), foreign.as_ptr());
+        assert_ne!(got.as_ptr(), pkt.as_ptr());
+    }
+
+    #[test]
+    fn put_from_device_shares_packet_bytes_and_copies_scratch() {
+        let (mut dma, mut host, _) = setup();
+        let pkt = page_packet();
+        let scratch = [7u8; 16];
+        let mut c = ctx(&mut dma, &mut host, &pkt);
+        c.put_from_device(&pkt, 1, 0, 0, 0).unwrap();
+        c.put_from_device_with_header(&pkt[64..128], 2, 0, 0, 0, UserHeader::empty())
+            .unwrap();
+        c.put_from_device(&scratch, 3, 0, 0, 0).unwrap();
+        let run = c.finish();
+        let payloads: Vec<&Bytes> = run
+            .actions
+            .iter()
+            .map(|(_, a)| match a {
+                OutAction::PutFromDevice { payload, .. } => payload,
+                a => panic!("unexpected action {a:?}"),
+            })
+            .collect();
+        assert_eq!(payloads[0], &pkt);
+        assert_eq!(payloads[0].as_ptr(), pkt.as_ptr());
+        assert_eq!(&payloads[1][..], &pkt[64..128]);
+        assert_eq!(payloads[1].as_ptr(), pkt[64..].as_ptr());
+        assert_eq!(&payloads[2][..], &scratch);
+        assert_ne!(payloads[2].as_ptr(), scratch.as_ptr());
+    }
+
+    #[test]
+    fn shared_and_copied_paths_take_the_same_time() {
+        let pkt = page_packet();
+        let foreign = pkt.to_vec();
+        let run = |data: &[u8], packet: &Bytes| {
+            let (mut dma, mut host, _) = setup();
+            let mut c = ctx(&mut dma, &mut host, packet);
+            c.put_from_device(data, 1, 0, 0, 0).unwrap();
+            c.dma_to_host_b(MemRegion::MeHost, 0, data).unwrap();
+            let h = c
+                .dma_to_host_nb(MemRegion::MeHost, HOST_PAGE, data)
+                .unwrap();
+            c.dma_wait(h);
+            let run = c.finish();
+            (
+                run.duration,
+                run.compute,
+                run.dma_blocked,
+                host.cow_clones(),
+            )
+        };
+        let shared = run(&pkt, &pkt);
+        let copied = run(&foreign, &pkt);
+        assert_eq!(shared.3, 0, "packet pages adopted");
+        assert_eq!(copied.3, 2, "foreign pages copied");
+        assert_eq!(shared.0, copied.0, "duration");
+        assert_eq!(shared.1, copied.1, "compute");
+        assert_eq!(shared.2, copied.2, "dma_blocked");
+    }
+
+    #[test]
+    #[should_panic(expected = "PutFromDevice payload 5000 exceeds max_payload_size 4096")]
+    fn oversized_put_from_device_with_header_panics() {
+        let (mut dma, mut host, none) = setup();
+        let mut c = ctx(&mut dma, &mut host, &none);
+        let big = vec![0u8; 5000];
+        let _ = c.put_from_device_with_header(&big, 1, 0, 0, 0, UserHeader::empty());
     }
 }

@@ -17,7 +17,10 @@
 //!   This is what makes message injection O(1) in payload size: the send
 //!   path snapshots a multi-MB region by bumping a handful of refcounts.
 //!   A page is one MTU, so an MTU-aligned packet payload is exactly one
-//!   page and the receive deposit adopts it by refcount instead of copying.
+//!   page, and a deposit adopts it by refcount instead of copying: the
+//!   RDMA/P4 receive deposit, and a sPIN payload handler's DMA of its
+//!   whole packet to a page-aligned address
+//!   (`HandlerCtx::dma_to_host_b`/`_nb`).
 
 use bytes::Bytes;
 use std::sync::{Arc, OnceLock};
